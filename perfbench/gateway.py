@@ -1,4 +1,4 @@
-"""A gateway process under test: spawn, readiness, CPU/RSS readings, exit
+"""A gateway process under test: spawn, readiness, peak RSS, exit
 summary."""
 
 import os
@@ -14,7 +14,6 @@ class Gateway:
         self.err_path = os.path.join(workdir, name + ".err")
         env = dict(os.environ)
         env.update(env_extra or {})
-        self.t_spawn = time.monotonic()
         with open(self.out_path, "wb") as out, open(self.err_path, "wb") as err:
             self.proc = subprocess.Popen(
                 argv, stdout=out, stderr=err, stdin=subprocess.DEVNULL,
@@ -38,19 +37,6 @@ class Gateway:
     def _read(path):
         with open(path, "r", errors="replace") as f:
             return f.read()
-
-    def cpu_ns(self):
-        """User+system CPU of every thread so far (scheduler run time, ns
-        resolution, unlike the tick-based /proc/<pid>/stat)."""
-        total = 0
-        base = "/proc/%d/task" % self.proc.pid
-        for tid in os.listdir(base):
-            try:
-                with open(os.path.join(base, tid, "schedstat")) as f:
-                    total += int(f.read().split()[0])
-            except (FileNotFoundError, ProcessLookupError):
-                pass
-        return total
 
     def peak_rss_mb(self):
         with open("/proc/%d/status" % self.proc.pid) as f:

@@ -2,7 +2,7 @@
 // native services of each SDP, driving a running gateway over loopback.
 //
 //   pb_loadgen --workload lookup|churn|directory --seed N --inflight K
-//              --ops N [--resident N] [--gw-pid P]
+//              --ops N [--gw-pid P]
 //              [--page FILE:SLOTS]... [--samples FILE] [--oplog FILE]
 //              [--frames FILE] [--fresh-sockets 0|1]
 //
@@ -53,6 +53,9 @@ constexpr std::uint64_t kMs = 1000000;
 constexpr std::uint64_t kOpTimeoutNs = 2000 * kMs;
 constexpr std::uint64_t kRetransmitNs = 250 * kMs;
 constexpr int kWarmupRounds = 4;
+// churn's fleet: above the translation cache's 256 entries on each of the
+// gateway's two shards, so the cache cannot hold it.
+constexpr std::uint64_t kChurnResident = 600;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -1361,7 +1364,6 @@ struct Args {
   std::uint64_t seed = 1;
   int inflight = 4;
   std::uint64_t ops = 0;
-  std::uint64_t resident = 600;
   int gw_pid = 0;
   std::vector<std::pair<std::string, int>> pages;
   std::string samples, oplog, frames;
@@ -1379,7 +1381,6 @@ int main(int argc, char** argv) {
     else if (k == "--seed") a.seed = std::stoull(v);
     else if (k == "--inflight") a.inflight = std::stoi(v);
     else if (k == "--ops") a.ops = std::stoull(v);
-    else if (k == "--resident") a.resident = std::stoull(v);
     else if (k == "--gw-pid") a.gw_pid = std::stoi(v);
     else if (k == "--samples") a.samples = v;
     else if (k == "--oplog") a.oplog = v;
@@ -1425,7 +1426,7 @@ int main(int argc, char** argv) {
     churn = c.get();
     wl = std::move(c);
     churn->joins_only = true;
-    Phase pop = loop.run(*wl, a.resident, deadline);
+    Phase pop = loop.run(*wl, kChurnResident, deadline);
     churn->joins_only = false;
     if (pop.failed != 0) setup_error = "fleet population lost joins";
   } else {
@@ -1511,9 +1512,6 @@ int main(int argc, char** argv) {
   out += ", \"retransmits\": " + std::to_string(wl->retransmits);
   out += ", \"life_ops\": " + std::to_string(loop.seq);
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f, \"p99_ms\": %.6f",
-                pct(ph.samples, 0.5), pct(ph.samples, 0.99));
-  out += ", \"p50_ms\": " + std::string(buf);
   out += ", \"kind_p50_ms\": {";
   auto names = wl->kind_names();
   for (std::size_t k = 0; k < names.size(); ++k) {

@@ -13,14 +13,17 @@ ones of BENCHMARK.json; with --trace 1 the per-layer ones (trace.py). Runs
 must be serial: indissd binds the well-known SDP ports on lo.
 """
 
-import argparse
-import array
-import json
-import os
-import statistics
-import subprocess
-import sys
 import time
+
+T_START = time.monotonic()  # setup_s counts from here: the run's cold start
+
+import argparse  # noqa: E402
+import array  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
@@ -35,7 +38,6 @@ LOADGEN_TIMEOUT_S = 170
 # Workload shapes; README.md states them against the gateway's bounds.
 # Operations measured in one gateway life (whole rounds of each mix).
 LIFE_OPS = {"lookup": 1200, "churn": 30000, "directory": 28 * 1000}
-CHURN_RESIDENT = 600       # > 2 shards x 256-entry translation cache
 INFLIGHT = os.cpu_count() or 4
 
 GATEWAY_FLAGS = {
@@ -98,7 +100,10 @@ def run_phase(name, argv, seed, seconds, tag, env_extra=None, pages=(),
     and with every session finished in the last ten seconds. So peak RSS
     reads the memory that a fixed amount of work costs, whatever the speed.
     Operations, samples, CPU and counter-page deltas add up across lives;
-    RSS is the highest peak; setup_s is the first, cold, life's."""
+    RSS is the highest peak. setup_s is the run's one cold set-up: from the
+    start of this process (build check included) to the first measured
+    operation of the first life. Later lives start warm, so they are not
+    counted in it."""
     lives = []
     while not lives or sum(r["wall_s"] for r in lives) < seconds:
         k = len(lives)
@@ -106,6 +111,7 @@ def run_phase(name, argv, seed, seconds, tag, env_extra=None, pages=(),
             name, argv, seed * 1000 + k, "%s-%d" % (tag, k), env_extra, pages,
             oplog and "%s.%d" % (oplog, k), frames if k == 0 else None))
     out = dict(lives[0])
+    out["setup_s"] = lives[0]["t_measure_start_ns"] / 1e9 - T_START
     for key in ("attempted", "failed", "completed", "wall_s", "gw_cpu_ns",
                 "loadgen_cpu_s", "retransmits", "life_ops"):
         out[key] = sum(r[key] for r in lives)
@@ -134,8 +140,6 @@ def gateway_life(name, argv, seed, tag, env_extra=None, pages=(),
         cmd = [binary("pb_loadgen"), "--workload", name, "--seed", str(seed),
                "--inflight", str(INFLIGHT), "--gw-pid", str(gw.proc.pid),
                "--samples", samples_path, "--ops", str(LIFE_OPS[name])]
-        if name == "churn":
-            cmd += ["--resident", str(CHURN_RESIDENT)]
         for path, slots in pages:
             cmd += ["--page", "%s:%d" % (path, slots)]
         if oplog:
@@ -153,7 +157,6 @@ def gateway_life(name, argv, seed, tag, env_extra=None, pages=(),
         summary = gw.stop()
     finally:
         gw.kill()
-    r["setup_s"] = r["t_measure_start_ns"] / 1e9 - gw.t_spawn
     samples = array.array("Q")
     with open(samples_path, "rb") as f:
         samples.frombytes(f.read())
@@ -184,7 +187,6 @@ def check_summary(name, r, summary):
 
 
 def main():
-    t_proc = time.monotonic()
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True,
                     choices=sorted(GATEWAY_FLAGS))
@@ -221,7 +223,7 @@ def main():
                   args.workload, args.seed, r["attempted"], r["failed"],
                   r["completed"], r["wall_s"], r.get("lives", 1),
                   r["retransmits"], by_kind, r["loadgen_cpu_us_per_op"],
-                  time.monotonic() - t_proc), file=sys.stderr)
+                  time.monotonic() - T_START), file=sys.stderr)
         out = {"correct": not r["errors"], "attempted": r["attempted"],
                "failed": r["failed"],
                "metrics": {k: {"value": v, "unit": u}

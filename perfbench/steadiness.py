@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Steadiness check: runs each workload repeatedly, one seed per run, and
-prints every metric's median and quartiles next to its bound in
+prints every end-to-end metric's median and quartiles next to its bound in
 BENCHMARK.json.
 
     python3 perfbench/steadiness.py [--runs 10] [--workloads lookup,churn]
-                                    [--first-seed 100] [--trace 0|1]
+                                    [--first-seed 100]
 
 With --runs 1 it is the one command that builds indissd and runs every
 workload to its end, printing each metric by name with its unit.
 
 A metric is steady when the distance between its first and third quartile,
-as a share of its median, stays below a third of its bound (setup_s is
-reported but not held to that: it is one cold start per run). Runs are
+as a share of its median, stays below a third of its bound. Runs are
 serial: indissd binds the well-known SDP ports on lo. Exits non-zero when a
 run fails, a check fails, or the failed-operation share differs between
 runs of one workload.
@@ -37,11 +36,9 @@ def main():
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--workloads", default=",".join(names))
     ap.add_argument("--first-seed", type=int, default=100)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
-    metrics = bench["end_to_end"] if args.trace == 0 else bench["per_layer"]
-    bounds = {m["name"]: m.get("bound") for m in metrics}
-    units = {m["name"]: m["unit"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
 
     ok = True
     for workload in args.workloads.split(","):
@@ -53,7 +50,7 @@ def main():
             cmd = bench["command"] + ["--workload", workload, "--seed",
                                       str(seed), "--seconds",
                                       str(bench["run_seconds"]), "--trace",
-                                      str(args.trace)]
+                                      "0"]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True,
                                   text=True)
             if proc.returncode != 0:
@@ -86,7 +83,7 @@ def main():
             if not vals:
                 continue
             bound = bounds[m]
-            bound_text = "-" if bound is None else "%.2f" % bound
+            bound_text = "%.2f" % bound
             if len(vals) < 2:
                 print("  %-34s %-6s %12s %12.5g %12s %8s %8s" % (
                     m, units[m], "-", vals[0], "-", "-", bound_text))
@@ -94,7 +91,7 @@ def main():
             q1, med, q3 = statistics.quantiles(vals, n=4)
             spread = (q3 - q1) / med if med else float("inf")
             flag = ""
-            if bound is not None and m != "setup_s" and spread > bound / 3:
+            if spread > bound / 3:
                 flag = "  <- above a third of the bound"
             print("  %-34s %-6s %12.5g %12.5g %12.5g %8.3f %8s%s" % (
                 m, units[m], q1, med, q3, spread, bound_text, flag))

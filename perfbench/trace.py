@@ -14,10 +14,12 @@ Four parts, each its own gateway life or process:
 The generator reads the counter pages at the quiesced boundaries of the
 measured phase, so every *_per_op figure counts measured operations only;
 the shard.* counts come from the daemon's exit summary and cover its whole
-life.
+life, so they are divided by all the operations of its life, as is the
+generator's retransmit count.
 """
 
 import bisect
+import json
 import os
 import re
 import statistics
@@ -33,40 +35,11 @@ SHIM_SLOTS = ["recvmsg", "sendto", "epoll_wait", "epoll_wakeups",
               "timerfd_arms", "syscall_ns", "epoll_ns", "connects",
               "mallocs", "malloc_bytes", "sends", "recvs"]
 
-# Unit of every per-layer metric, in BENCHMARK.json order.
-PER_LAYER = {
-    "live.recvmsg_per_op": "count", "live.sendto_per_op": "count",
-    "live.epoll_wakeups_per_op": "count", "live.timerfd_arms_per_op": "count",
-    "live.syscall_us_per_op": "us", "live.epoll_wait_us_per_op": "us",
-    "live.tcp_connects_per_op": "count",
-    "gw.mallocs_per_op": "count", "gw.malloc_bytes_per_op": "B",
-    "monitor.datagrams_per_op": "count",
-    "monitor.handler_us_per_datagram": "us",
-    "monitor.own_endpoints_at_end": "count",
-    "unit.sessions_per_op": "count", "unit.tasks_per_op": "count",
-    "unit.task_us_per_op": "us", "unit.residence_us_p50": "us",
-    "parse.ssdp_ns": "ns", "parse.slp_ns": "ns", "parse.mdns_ns": "ns",
-    "parse.upnp_xml_ns": "ns", "parse.ssdp_allocs": "count",
-    "parse.slp_allocs": "count", "parse.mdns_allocs": "count",
-    "parse.upnp_xml_allocs": "count",
-    "compose.mdns_ns": "ns", "compose.slp_ns": "ns", "compose.ssdp_ns": "ns",
-    "cache.hit_ratio": "ratio", "cache.replays_per_op": "count",
-    "cache.lookup_ns": "ns",
-    "directory.answered_ratio": "ratio",
-    "directory.answer_replays_per_op": "count", "directory.collect_ns": "ns",
-    "shard.replicated_per_op": "count", "shard.ring_dropped": "count",
-    "shard.imbalance": "ratio", "shard.route_ns": "ns",
-    "http.description_fetch_us": "us",
-    "loadgen.cpu_us_per_op": "us", "loadgen.retransmitted_requests": "count",
-    "trace.shim_latency_p50_ratio": "ratio",
-    "trace.tracegw_latency_p50_ratio": "ratio",
-}
 
-LAYER_KEYS = ("parse.ssdp_ns", "parse.slp_ns", "parse.mdns_ns",
-              "parse.upnp_xml_ns", "parse.ssdp_allocs", "parse.slp_allocs",
-              "parse.mdns_allocs", "parse.upnp_xml_allocs", "compose.mdns_ns",
-              "compose.slp_ns", "compose.ssdp_ns", "cache.lookup_ns",
-              "directory.collect_ns", "shard.route_ns")
+def per_layer_units():
+    """Name -> unit of every per-layer metric, in BENCHMARK.json order."""
+    with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as f:
+        return {m["name"]: m["unit"] for m in json.load(f)["per_layer"]}
 
 
 def tracegw_slots():
@@ -161,9 +134,8 @@ def traced_run(args, argv, run_phase, binary, rundir):
 
     out = subprocess.run([binary("pb_layers"), frames_path], check=True,
                          capture_output=True, text=True).stdout
-    layers = {k: float(v) for k, v in (l.split() for l in out.splitlines())}
+    m = {k: float(v) for k, v in (l.split() for l in out.splitlines())}
 
-    m = {}
     d = dict(zip(SHIM_SLOTS, shim["pages"][0]))
     ops = shim["completed"]
     m["live.recvmsg_per_op"] = d["recvmsg"] / ops
@@ -189,13 +161,14 @@ def traced_run(args, argv, run_phase, binary, rundir):
         m["shard.replicated_per_op"] = sum(
             gateway.summary_sum(s, "dispatch", "replicated")
             for s in summaries) / shim["life_ops"]
-        m["shard.ring_dropped"] = sum(
-            gateway.summary_sum(s, "shard", "ring_dropped") for s in summaries)
+        m["shard.ring_dropped_per_op"] = sum(
+            gateway.summary_sum(s, "shard", "ring_dropped")
+            for s in summaries) / shim["life_ops"]
         m["shard.imbalance"] = (max(ingested.values()) /
                                 max(1.0, min(ingested.values())))
     else:
         m["shard.replicated_per_op"] = 0.0
-        m["shard.ring_dropped"] = 0.0
+        m["shard.ring_dropped_per_op"] = 0.0
         m["shard.imbalance"] = 1.0
 
     d = dict(zip(names, tg["pages"][0]))
@@ -219,11 +192,8 @@ def traced_run(args, argv, run_phase, binary, rundir):
         d["http_fetch_ns"] / 1e3 / d["http_fetches"]
         if d["http_fetches"] else 0.0)
 
-    for key in LAYER_KEYS:
-        m[key] = layers[key]
-
     m["loadgen.cpu_us_per_op"] = base["loadgen_cpu_us_per_op"]
-    m["loadgen.retransmitted_requests"] = float(base["retransmits"])
+    m["loadgen.retransmits_per_op"] = base["retransmits"] / base["life_ops"]
     m["trace.shim_latency_p50_ratio"] = (shim["latency_p50_ms"] /
                                          base["latency_p50_ms"])
     m["trace.tracegw_latency_p50_ratio"] = (tg["latency_p50_ms"] /
@@ -236,10 +206,11 @@ def traced_run(args, argv, run_phase, binary, rundir):
               name, args.seed, base["latency_p50_ms"], shim["latency_p50_ms"],
               tg["latency_p50_ms"], base["wall_s"] * 1e6 / base["completed"],
               base["loadgen_cpu_us_per_op"]), file=sys.stderr)
-    if set(m) != set(PER_LAYER):
+    units = per_layer_units()
+    if set(m) != set(units):
         raise RuntimeError("per-layer metrics out of step: %s" %
-                           sorted(set(m) ^ set(PER_LAYER)))
+                           sorted(set(m) ^ set(units)))
     return {"correct": not errors, "attempted": base["attempted"],
             "failed": base["failed"],
-            "metrics": {k: {"value": m[k], "unit": PER_LAYER[k]}
-                        for k in PER_LAYER}}
+            "metrics": {k: {"value": m[k], "unit": u}
+                        for k, u in units.items()}}
